@@ -16,13 +16,9 @@ Each row also records:
   shards) vs candidate combine/prune/score work vs transport
   (backpressure-blocked seconds, shm/inline bytes);
 * the measured **sketch replication factor**: worker-side sketch passes
-  per stream chunk. The legacy self-sketching protocol pays ≈ one per
-  worker per chunk (the stream-side work of the paper's Section IV is
-  multiplied by the worker count); the sketch-once front end drives it
-  to zero, which is the whole point of this PR's protocol.
-
-The process backend is benchmarked under both protocols
-(``sketch_once`` on and off) so the JSON shows the A/B directly.
+  per stream chunk. The service's front end sketches every window once,
+  so this stays 0 — workers never redo the stream-side work of the
+  paper's Section IV, whatever the worker count.
 
 Usage::
 
@@ -115,8 +111,8 @@ def run_baseline(config, queries, chunks) -> Dict[str, object]:
     }
 
 
-def run_service(config, queries, chunks, workers, backend,
-                sketch_once) -> Dict[str, object]:
+def run_service(config, queries, chunks, workers,
+                backend) -> Dict[str, object]:
     """One timed service pass (construction excluded, like the baseline).
 
     Returns throughput plus the merged per-phase / transport breakdown
@@ -124,7 +120,7 @@ def run_service(config, queries, chunks, workers, backend,
     """
     service = DetectionService(
         config, queries, KEYFRAMES_PER_SECOND,
-        num_workers=workers, backend=backend, sketch_once=sketch_once,
+        num_workers=workers, backend=backend,
     )
     try:
         start = time.perf_counter()
@@ -166,9 +162,8 @@ def run_service(config, queries, chunks, workers, backend,
             "shm_waits": counters.get("serve.transport.shm_waits", 0),
             "blocked_s": round(blocked, 6),
         },
-        # Worker-side stream sketch passes per chunk: ≈ workers under
-        # the legacy protocol, 0 under sketch-once (the front end pays
-        # exactly one pass per batch instead, in phase.frontend).
+        # Worker-side stream sketch passes per chunk: 0, because the
+        # front end pays exactly one pass per batch (phase.frontend).
         "sketch_replication": (
             round(worker_sketch_calls / len(chunks), 3) if chunks else 0.0
         ),
@@ -209,20 +204,16 @@ def run_sweep(args, sweep, worker_counts, backends, repeats,
         )
         results.append({
             "backend": "baseline", "workers": 1,
-            "num_queries": num_queries, "sketch_once": None, **baseline,
+            "num_queries": num_queries, **baseline,
         })
         print(f"q={num_queries:<4d} {'baseline':>12s} w=1 "
               f"{baseline['frames_per_sec']:>10.1f} frames/s "
               f"({baseline['matches']} matches)")
 
-        for backend, sketch_once in (
-            [(b, True) for b in backends]
-            + ([("process", False)] if "process" in backends else [])
-        ):
+        for backend in backends:
             for workers in worker_counts:
                 best = best_of(repeats, lambda: run_service(
                     config, fresh_queries(), chunks, workers, backend,
-                    sketch_once,
                 ))
                 if best["matches"] != baseline["matches"]:
                     raise SystemExit(
@@ -232,12 +223,10 @@ def run_sweep(args, sweep, worker_counts, backends, repeats,
                     )
                 results.append({
                     "backend": backend, "workers": workers,
-                    "num_queries": num_queries,
-                    "sketch_once": sketch_once, **best,
+                    "num_queries": num_queries, **best,
                 })
-                label = backend if sketch_once else f"{backend}/selfsk"
                 print(
-                    f"q={num_queries:<4d} {label:>12s} w={workers} "
+                    f"q={num_queries:<4d} {backend:>12s} w={workers} "
                     f"{best['frames_per_sec']:>10.1f} frames/s "
                     f"(x{best['frames_per_sec'] / baseline['frames_per_sec']:.2f}"
                     f" vs baseline, sketch-rep "
@@ -280,7 +269,7 @@ def run_gate(stream_frames, num_hashes, num_queries) -> int:
         for workers in (1, 4):
             queries = QuerySet.from_cell_ids(cell_ids, frame_counts, family)
             sample = run_service(
-                config, queries, chunks, workers, "process", True
+                config, queries, chunks, workers, "process"
             )
             rates[workers] = sample["frames_per_sec"]
             print(f"gate: process w={workers} "
@@ -352,6 +341,7 @@ def main(argv: List[str] | None = None) -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "machine": platform.machine(),
         # Wall-clock worker scaling is bounded by this: on a 1-core
         # host every multi-worker row necessarily trails 1 worker and
         # the scaling story lives in sketch_replication / phases.

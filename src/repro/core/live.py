@@ -36,8 +36,8 @@ class LiveMonitor:
         Fingerprint pipeline used for encoded/raw-frame input; must use
         the same configuration the query fingerprints were built with.
         Optional: a monitor fed pre-extracted cell ids only (the
-        evaluation runner, the sharded serving workers) may omit it, in
-        which case :meth:`push_encoded` / :meth:`push_frames` raise
+        evaluation runner, for one) may omit it, in which case
+        :meth:`push_encoded` / :meth:`push_frames` raise
         :class:`~repro.errors.DetectionError`.
 
     Example

@@ -218,7 +218,9 @@ class GatewayServer:
         self.credit_window = int(credits)
         self.policy = policy
         self.degrade = degrade
-        self.extractor = extractor
+        self.extractor = (
+            extractor if extractor is not None else FingerprintExtractor()
+        )
         self.max_frame_bytes = int(max_frame_bytes)
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.idle_timeout_seconds = float(idle_timeout_seconds)

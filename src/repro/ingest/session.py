@@ -17,8 +17,10 @@ The frame-accounting contract, which the chaos tests reconcile:
 
 Sessions checkpoint through :class:`repro.serve.CheckpointManager` — a
 one-worker :class:`~repro.serve.checkpoint.ServiceCheckpoint` with
-strategy ``"ingest"`` — so the serving layer's atomic-write/restore
-machinery, format tag and config verification are reused unchanged.
+strategy ``"ingest"`` whose front-end section holds the session's
+:class:`~repro.core.live.LiveMonitor` buffer — so the serving layer's
+atomic-write/restore machinery, format tag and config verification are
+reused unchanged.
 """
 
 from __future__ import annotations
@@ -342,6 +344,7 @@ class StreamSession:
                 f"stream {self.stream_id} session is sink-backed; "
                 "checkpoint the backing service, not the session"
             )
+        pending, flushed, skip = self.monitor.buffer_state()
         snapshot = ServiceCheckpoint(
             config=self.config,
             keyframes_per_second=self.keyframes_per_second,
@@ -349,8 +352,13 @@ class StreamSession:
             cap_hint=0,
             strategy="ingest",
             worker_queries=[self.queries],
-            worker_states=[worker_state(self.detector, self.monitor)],
+            worker_states=[worker_state(self.detector)],
             matches=list(self.matches),
+            frontend_pending=pending,
+            frontend_flushed=flushed,
+            frontend_windows=self.detector.stats.windows_processed,
+            frontend_frames=self.detector.frames_processed,
+            frontend_skip=skip,
         )
         return manager.save(snapshot, path)
 
@@ -388,8 +396,11 @@ class StreamSession:
             fill_cell_id=fill_cell_id,
             chunk_keyframes_hint=chunk_keyframes_hint,
         )
-        restore_worker_state(
-            session.detector, session.monitor, snapshot.worker_states[0]
+        restore_worker_state(session.detector, snapshot.worker_states[0])
+        session.monitor.restore_buffer(
+            snapshot.frontend_pending,
+            snapshot.frontend_flushed,
+            snapshot.frontend_skip,
         )
         session.matches = list(snapshot.matches)
         session._last_seq = snapshot.chunks_ingested - 1

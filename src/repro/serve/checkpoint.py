@@ -5,9 +5,10 @@ one — rebuild the exact same service and continue the stream where it
 stopped, losing zero matches. One ``.npz`` file therefore carries
 everything: a format tag, the detector configuration (checked on
 restore, like :mod:`repro.persistence` does for query-set files), the
-stream position (chunks ingested), each worker's query subset and
-flattened detector state (from :mod:`repro.serve.state`), and the
-matches the collector has already merged — so the resumed service's
+stream position (chunks ingested), the front end's undigested buffer
+and stream clock, each worker's query subset and flattened detector
+state (from :mod:`repro.serve.state`), and the matches the collector
+has already merged — so the resumed service's
 cumulative match stream equals an uninterrupted run's.
 
 Writes are atomic and durable: the payload goes through
@@ -48,37 +49,18 @@ from repro.utils.atomic import atomic_savez
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "COMPATIBLE_FORMATS",
     "CheckpointManager",
     "ServiceCheckpoint",
 ]
 
-#: Format tag embedded in every checkpoint archive. Bump the suffix when
-#: the layout changes incompatibly; loading rejects unknown tags.
-#: ``/2`` added the lifecycle ``epoch`` field (and per-worker epochs
-#: inside the worker states) for the query-admission control plane.
-#: ``/3`` added the sketch-once front end's stream state (``frontend_*``
-#: fields) — under sketch-once serving the undigested buffer lives in
-#: the service, not in the workers' monitors, so an older loader would
-#: silently drop those frames.
-#: ``/4`` added the sketch-archive watermark and unsealed ring
-#: (``archive_*``), the retro match stream (``retro_*``) and in-flight
-#: backfill jobs (``backfill_*``) — without them a kill/resume would
-#: re-archive already-sealed windows or silently drop a backfill.
-CHECKPOINT_FORMAT = "repro.ckpt/4"
-
-#: Older tags :meth:`CheckpointManager.load` still reads. ``/1``
-#: archives predate query churn: they load with ``epoch`` 0. ``/2``
-#: archives predate the sketch-once front end: they load without
-#: front-end state and the service migrates worker 0's monitor buffer.
-#: ``/3`` archives predate the sketch archive: they load with no
-#: archive state (watermark ``-1``) and empty retro/backfill streams.
-COMPATIBLE_FORMATS = (
-    "repro.ckpt/1",
-    "repro.ckpt/2",
-    "repro.ckpt/3",
-    CHECKPOINT_FORMAT,
-)
+#: Format tag embedded in every checkpoint archive; loading accepts this
+#: tag only. Bump the suffix when the layout changes. ``/5`` is the
+#: sketch-once layout: a mandatory front-end section (``frontend_*``:
+#: the undigested stream buffer and the absolute stream clock), the
+#: sketch archive's watermark and unsealed ring (``archive_*``), the
+#: retro match stream (``retro_*``) and in-flight backfill jobs
+#: (``backfill_*``); worker states hold engine and registry state only.
+CHECKPOINT_FORMAT = "repro.ckpt/5"
 
 _CKPT_NAME = re.compile(r"^ckpt-(\d+)\.npz$")
 
@@ -116,16 +98,18 @@ class ServiceCheckpoint:
         service continues numbering from here, so a scripted churn
         schedule can skip the ops the checkpoint already contains.
     frontend_pending:
-        Sketch-once mode only: the service front end's buffered cell
-        ids (frames not yet forming a whole basic window). ``None``
-        when the snapshot was taken in self-sketching mode (the same
-        frames then live in each worker's monitor buffer instead).
+        The front end's buffered cell ids (frames not yet forming a
+        whole basic window).
     frontend_flushed:
         Whether the front end had flushed the stream.
     frontend_windows / frontend_frames:
         The front end's absolute stream clock (whole windows / frames
-        emitted). ``-1`` marks "no front-end state recorded" — the
-        sentinel legacy archives load with.
+        emitted).
+    frontend_skip:
+        Arriving frames still to be dropped to re-align the window
+        clock after a gap (an ingest session's
+        :class:`~repro.core.live.LiveMonitor`; always 0 for the
+        service's front end, which never skips).
     retro_matches:
         The retrospective (backfill) match stream collected before the
         snapshot, kept separate from the live stream so neither resume
@@ -133,15 +117,11 @@ class ServiceCheckpoint:
     archive_next:
         The sketch archive's watermark: the next basic-window index it
         expects. ``-1`` marks "no archive state recorded" (archiving
-        off, or a pre-``/4`` snapshot).
+        off).
     archive_ring_indices / archive_ring_starts / archive_ring_frames /
     archive_ring_sketches:
         The archive's unsealed in-memory tail (windows not yet in a
         disk segment) — without them a crash would lose the ring.
-    archive_tap_pending / archive_tap_flushed / archive_tap_frames:
-        Legacy self-sketching mode only: the service-side archive tap's
-        buffered cell ids, flush flag and frame clock (in sketch-once
-        mode the front end *is* the tap and ``frontend_*`` covers it).
     backfill_jobs:
         In-flight/queued backfill jobs as ``(qid, start, live_start,
         end, emitted_through, cap_hint, retro_found)`` tuples. A resumed service
@@ -161,19 +141,19 @@ class ServiceCheckpoint:
     worker_states: List[Dict[str, np.ndarray]]
     matches: List[Match]
     epoch: int = 0
-    frontend_pending: Optional[np.ndarray] = None
+    frontend_pending: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
     frontend_flushed: bool = False
-    frontend_windows: int = -1
-    frontend_frames: int = -1
+    frontend_windows: int = 0
+    frontend_frames: int = 0
+    frontend_skip: int = 0
     retro_matches: List[Match] = field(default_factory=list)
     archive_next: int = -1
     archive_ring_indices: Optional[np.ndarray] = None
     archive_ring_starts: Optional[np.ndarray] = None
     archive_ring_frames: Optional[np.ndarray] = None
     archive_ring_sketches: Optional[np.ndarray] = None
-    archive_tap_pending: Optional[np.ndarray] = None
-    archive_tap_flushed: bool = False
-    archive_tap_frames: int = -1
     backfill_jobs: List[Tuple[int, int, int, int, int, int, int]] = field(
         default_factory=list
     )
@@ -183,21 +163,13 @@ class ServiceCheckpoint:
         return len(self.worker_states)
 
     @property
-    def has_frontend(self) -> bool:
-        """Whether the snapshot carries sketch-once front-end state."""
-        return self.frontend_frames >= 0
-
-    @property
     def has_archive(self) -> bool:
         """Whether the snapshot carries sketch-archive state."""
         return self.archive_next >= 0
 
     def worker_epochs(self) -> List[int]:
         """Per-shard lifecycle epochs recorded in the worker states."""
-        return [
-            int(state["epoch"][0]) if "epoch" in state else 0
-            for state in self.worker_states
-        ]
+        return [int(state["epoch"][0]) for state in self.worker_states]
 
 
 def _int_array(value: Optional[np.ndarray]) -> np.ndarray:
@@ -362,16 +334,15 @@ class CheckpointManager:
                 [checkpoint.keyframes_per_second], dtype=np.float64
             ),
             "strategy": np.asarray([checkpoint.strategy], dtype=object),
-            "frontend_pending": (
-                np.empty(0, dtype=np.int64)
-                if checkpoint.frontend_pending is None
-                else np.asarray(checkpoint.frontend_pending, dtype=np.int64)
+            "frontend_pending": np.asarray(
+                checkpoint.frontend_pending, dtype=np.int64
             ),
             "frontend_flushed": np.asarray(
                 [int(checkpoint.frontend_flushed)]
             ),
             "frontend_windows": np.asarray([checkpoint.frontend_windows]),
             "frontend_frames": np.asarray([checkpoint.frontend_frames]),
+            "frontend_skip": np.asarray([checkpoint.frontend_skip]),
             "archive_next": np.asarray([checkpoint.archive_next]),
             "archive_ring_indices": _int_array(
                 checkpoint.archive_ring_indices
@@ -388,15 +359,6 @@ class CheckpointManager:
                 else np.asarray(
                     checkpoint.archive_ring_sketches, dtype=np.int64
                 )
-            ),
-            "archive_tap_pending": _int_array(
-                checkpoint.archive_tap_pending
-            ),
-            "archive_tap_flushed": np.asarray(
-                [int(checkpoint.archive_tap_flushed)]
-            ),
-            "archive_tap_frames": np.asarray(
-                [checkpoint.archive_tap_frames]
             ),
             "backfill_jobs": np.asarray(
                 checkpoint.backfill_jobs, dtype=np.int64
@@ -459,10 +421,10 @@ class CheckpointManager:
             raise PersistenceError(
                 f"checkpoint file {path} is missing field {error}"
             )
-        if fmt not in COMPATIBLE_FORMATS:
+        if fmt != CHECKPOINT_FORMAT:
             raise PersistenceError(
                 f"checkpoint file {path} has format {fmt!r}; this build "
-                f"reads {COMPATIBLE_FORMATS}"
+                f"reads only {CHECKPOINT_FORMAT!r}"
             )
         try:
             config = detector_config_from_mapping(archive)
@@ -497,15 +459,8 @@ class CheckpointManager:
                         and not key.startswith(skip)
                     }
                 )
-            has_frontend = "frontend_frames" in member_names
-            frontend_frames = (
-                int(archive["frontend_frames"][0]) if has_frontend else -1
-            )
-            has_archive_state = "archive_next" in member_names
-            archive_next = (
-                int(archive["archive_next"][0]) if has_archive_state else -1
-            )
-            if has_archive_state and archive_next >= 0:
+            archive_next = int(archive["archive_next"][0])
+            if archive_next >= 0:
                 ring_indices = np.asarray(
                     archive["archive_ring_indices"], dtype=np.int64
                 )
@@ -521,17 +476,6 @@ class CheckpointManager:
             else:
                 ring_indices = ring_starts = ring_frames = None
                 ring_sketches = None
-            tap_frames = (
-                int(archive["archive_tap_frames"][0])
-                if has_archive_state
-                else -1
-            )
-            backfill_jobs: List[Tuple[int, int, int, int, int, int, int]] = []
-            if "backfill_jobs" in member_names:
-                for row in np.asarray(
-                    archive["backfill_jobs"], dtype=np.int64
-                ).reshape(-1, 7):
-                    backfill_jobs.append(tuple(int(v) for v in row))
             checkpoint = ServiceCheckpoint(
                 config=config,
                 keyframes_per_second=float(
@@ -543,49 +487,26 @@ class CheckpointManager:
                 worker_queries=worker_queries,
                 worker_states=worker_states,
                 matches=_matches_from_mapping(archive),
-                epoch=(
-                    int(archive["epoch"][0]) if "epoch" in archive.files else 0
+                epoch=int(archive["epoch"][0]),
+                frontend_pending=np.asarray(
+                    archive["frontend_pending"], dtype=np.int64
                 ),
-                frontend_pending=(
-                    np.asarray(archive["frontend_pending"], dtype=np.int64)
-                    if frontend_frames >= 0
-                    else None
-                ),
-                frontend_flushed=(
-                    bool(int(archive["frontend_flushed"][0]))
-                    if has_frontend
-                    else False
-                ),
-                frontend_windows=(
-                    int(archive["frontend_windows"][0])
-                    if has_frontend
-                    else -1
-                ),
-                frontend_frames=frontend_frames,
-                retro_matches=(
-                    _matches_from_mapping(archive, prefix="retro_")
-                    if "retro_qid" in member_names
-                    else []
-                ),
+                frontend_flushed=bool(int(archive["frontend_flushed"][0])),
+                frontend_windows=int(archive["frontend_windows"][0]),
+                frontend_frames=int(archive["frontend_frames"][0]),
+                frontend_skip=int(archive["frontend_skip"][0]),
+                retro_matches=_matches_from_mapping(archive, prefix="retro_"),
                 archive_next=archive_next,
                 archive_ring_indices=ring_indices,
                 archive_ring_starts=ring_starts,
                 archive_ring_frames=ring_frames,
                 archive_ring_sketches=ring_sketches,
-                archive_tap_pending=(
-                    np.asarray(
-                        archive["archive_tap_pending"], dtype=np.int64
-                    )
-                    if has_archive_state and tap_frames >= 0
-                    else None
-                ),
-                archive_tap_flushed=(
-                    bool(int(archive["archive_tap_flushed"][0]))
-                    if has_archive_state
-                    else False
-                ),
-                archive_tap_frames=tap_frames,
-                backfill_jobs=backfill_jobs,
+                backfill_jobs=[
+                    tuple(int(v) for v in row)
+                    for row in np.asarray(
+                        archive["backfill_jobs"], dtype=np.int64
+                    ).reshape(-1, 7)
+                ],
             )
         except PersistenceError:
             raise

@@ -21,13 +21,13 @@ per shard (plane rows by qid) without redoing any stream-side math.
 Window coordinates inside a batch are **absolute** (the front end owns
 the stream clock), so a worker that never sees a batch — lossy
 backpressure policies — keeps later matches at their true stream
-positions instead of silently shifting them, an improvement over the
-raw-chunk protocol (see ``docs/serving.md``).
+positions instead of silently shifting them (see ``docs/serving.md``).
 
 Bit-for-bit equivalence: the per-window sketch values, the plane bits,
-the processing order and every engine counter are identical to the
-self-sketching path — the golden-equivalence suite runs the service in
-both modes against the serial detector.
+the processing order and every engine counter are identical to a
+serial :class:`~repro.core.detector.StreamingDetector` fed through a
+:class:`~repro.core.live.LiveMonitor` — the golden-equivalence suite
+checks the service against it.
 """
 
 from __future__ import annotations

@@ -60,16 +60,12 @@ from repro.obs.export import snapshot as registry_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.chaos import rebase_events
 from repro.serve.queues import BackpressurePolicy, PutOutcome
-from repro.serve.workers import ShardWorker, WorkerSpec
+from repro.serve.workers import _STREAM_KINDS, ShardWorker, WorkerSpec
 
 __all__ = ["ShardSupervisor", "SupervisorConfig"]
 
-#: Stream-carrying request kinds — what the replay buffer is *for*.
-_STREAM_KINDS = frozenset({"chunk", "batch", "batch_shm"})
-
 #: Expected reply kind per request kind (the protocol table).
 _REPLY_KIND = {
-    "chunk": "matches",
     "batch": "matches_batch",
     "batch_shm": "matches_batch",
     "flush": "flushed",
@@ -415,11 +411,7 @@ class ShardSupervisor:
         if kind in _STREAM_KINDS:
             shard.stream_sent += 1
             stream_index = shard.stream_sent
-            if kind == "chunk":
-                num_chunks = 1
-            else:
-                payload = (shadow or message)[1]
-                num_chunks = int(payload.num_chunks)
+            num_chunks = int((shadow or message)[1].num_chunks)
         if kind == "stop":
             shard.stopping = True
         return _Entry(
@@ -475,8 +467,6 @@ class ShardSupervisor:
             return True
         if kind != _REPLY_KIND[entry.kind]:
             return False
-        if kind == "matches":
-            return len(reply) == 4 and reply[2] == entry.sent_message[1]
         if kind == "matches_batch":
             return (
                 len(reply) == 4
@@ -720,8 +710,6 @@ class ShardSupervisor:
     def _synthesize(self, shard: _Shard, entry: _Entry) -> Tuple:
         wid = shard.id
         kind = entry.kind
-        if kind == "chunk":
-            return ("matches", wid, entry.sent_message[1], [])
         if kind in ("batch", "batch_shm"):
             base_seq = entry.replay_message[1].base_seq
             return (

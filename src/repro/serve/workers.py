@@ -1,13 +1,14 @@
 """Per-shard detection workers and their message protocol.
 
 Each worker owns one complete detection stack for its query shard: a
-private :class:`~repro.obs.registry.MetricsRegistry`, a
+private :class:`~repro.obs.registry.MetricsRegistry` and a
 :class:`~repro.core.detector.StreamingDetector` constructed with the
 *global* candidate cap hint (so candidate lifecycle matches the
 single-process detector — see
-:meth:`~repro.core.context.EvalContext.set_cap_hint`), and a
-:class:`~repro.core.live.LiveMonitor` front end that assembles the
-worker's identical copy of the stream into basic windows.
+:meth:`~repro.core.context.EvalContext.set_cap_hint`). Workers never
+see raw cell ids: the service's
+:class:`~repro.serve.frontend.StreamFrontend` cuts and sketches every
+window once and ships the results.
 
 The protocol is plain tuples (picklable for the process backend); every
 request produces exactly one reply, so the service can run workers in
@@ -16,11 +17,9 @@ lock step without extra sequencing:
 ==================================  =====================================
 request                             reply
 ==================================  =====================================
-``("chunk", seq, cell_ids)``        ``("matches", wid, seq, [Match, ...])``
 ``("batch", WindowBatch)``          ``("matches_batch", wid, base_seq,
                                     [[Match, ...], ...])``
 ``("batch_shm", BatchDescriptor)``  same as ``batch``
-``("flush",)``                      ``("flushed", wid, [Match, ...])``
 ``("flush", TailWindow | None)``    ``("flushed", wid, [Match, ...])``
 ``("lifecycle", epoch, ops, hint)`` ``("ok", wid)``
 ``("subscribe", query)``            ``("ok", wid)``
@@ -31,34 +30,30 @@ request                             reply
 ``("stop",)``                       ``("stopped", wid)``
 ==================================  =====================================
 
-``chunk`` is the self-sketching reference path: the worker's
-:class:`LiveMonitor` buffers the raw cell ids and re-sketches every
-window locally. ``batch`` is the sketch-once fan-out: the service's
-:class:`~repro.serve.frontend.StreamFrontend` already built the
-windows, so the worker rebuilds each :class:`BasicWindow` from the
-shipped sketch rows (copying the small ``(nw, K)`` matrix once — the
-scalar engines retain sketch references across windows, so the rows
-must be worker-owned) and, when planes were precomputed, slices its
-shard's plane rows out of the ``(nw, Q, W)`` arrays by qid (fancy
+``batch`` carries windows the front end already built: the worker
+rebuilds each :class:`BasicWindow` from the shipped sketch rows (copying
+the small ``(nw, K)`` matrix once, so no row aliases a shared-memory
+slot the producer will reuse) and, when planes were precomputed, slices
+its shard's plane rows out of the ``(nw, Q, W)`` arrays by qid (fancy
 indexing, which also copies). The reply carries one match list per
 chunk of the batch so the service can merge per stream sequence.
 ``batch_shm`` is the same payload delivered as a shared-memory
 descriptor (process backend); no view into the segment survives the
-message. The extended ``flush`` carries the front end's partial tail
-window (or ``None``); the bare form remains the reference path's.
+message. ``flush`` carries the front end's partial tail window (or
+``None``).
 
 ``lifecycle`` is the epoch barrier of the query-admission control
 plane (see ``docs/serving.md``): the service broadcasts one message per
-churn event to *every* worker on the same channel as chunks, carrying
+churn event to *every* worker on the same channel as batches, carrying
 this worker's (possibly empty) op list — ``("subscribe", Query)`` or
 ``("unsubscribe", qid)`` tuples — plus the new global ``cap_hint``.
-Because it is ordered with the chunk stream, every shard applies the
+Because it is ordered with the stream, every shard applies the
 change at the same basic-window boundary, keeping the merged match
 stream deterministic. The worker records the epoch number; it rides
 along in state snapshots so a resumed service knows exactly which
 lifecycle events the checkpoint already contains. The three bare
 ``subscribe``/``unsubscribe``/``cap_hint`` messages remain for direct
-single-worker use (e.g. the ingest layer's one-worker sessions).
+single-worker use.
 
 A worker never lets an exception escape: any failure is reported as
 ``("error", wid, message)`` and the worker keeps serving, so one bad
@@ -74,7 +69,6 @@ import numpy as np
 
 from repro.config import DetectorConfig
 from repro.core.detector import StreamingDetector
-from repro.core.live import LiveMonitor
 from repro.core.query import QuerySet
 from repro.core.results import Match
 from repro.minhash.sketch import Sketch
@@ -147,12 +141,11 @@ class ShardWorker:
             registry=self.registry,
             cap_hint=spec.cap_hint,
         )
-        self.monitor = LiveMonitor(self.detector)
         self.epoch = int(spec.epoch)
         self._shm_reader = None
         self._plane_rows_cache: Optional[Tuple[Tuple, np.ndarray]] = None
         if spec.state is not None:
-            restore_worker_state(self.detector, self.monitor, spec.state)
+            restore_worker_state(self.detector, spec.state)
 
     def handle(self, message: Tuple) -> Tuple:
         """Dispatch one request tuple; exceptions become error replies."""
@@ -163,12 +156,6 @@ class ShardWorker:
 
     def _dispatch(self, message: Tuple) -> Tuple:
         kind = message[0]
-        if kind == "chunk":
-            _, seq, cell_ids = message
-            matches = self.monitor.push_cell_ids(
-                np.asarray(cell_ids, dtype=np.int64)
-            )
-            return ("matches", self.worker_id, seq, matches)
         if kind == "batch":
             batch = message[1]
             return (
@@ -186,11 +173,8 @@ class ShardWorker:
                 self._process_batch(batch),
             )
         if kind == "flush":
-            tail = message[1] if len(message) > 1 else None
-            matches: List[Match] = []
-            if tail is not None:
-                matches.extend(self._process_tail(tail))
-            matches.extend(self.monitor.flush())
+            tail = message[1]
+            matches = [] if tail is None else self._process_tail(tail)
             return ("flushed", self.worker_id, matches)
         if kind == "lifecycle":
             _, epoch, ops, cap_hint = message
@@ -214,7 +198,7 @@ class ShardWorker:
             self.detector.set_cap_hint(int(message[1]))
             return ("ok", self.worker_id)
         if kind == "state":
-            state = worker_state(self.detector, self.monitor)
+            state = worker_state(self.detector)
             state["epoch"] = np.asarray([self.epoch], dtype=np.int64)
             return ("state", self.worker_id, state)
         if kind == "snapshot":
@@ -269,9 +253,8 @@ class ShardWorker:
         """Run every precomputed window; one match list per chunk."""
         detector = self.detector
         fingerprint = detector.queries.family.fingerprint
-        # Worker-owned copy: scalar engines keep candidate sketches by
-        # reference, and a shared-memory row would be overwritten when
-        # the producer reuses the slot.
+        # Worker-owned copy: a shared-memory row would be overwritten
+        # when the producer reuses the slot.
         values = np.array(batch.sketch_values, dtype=np.int64)
         rows = self._plane_rows(batch.plane_qids)
         indices = batch.indices
@@ -325,10 +308,10 @@ class ShardWorker:
             self._shm_reader = None
 
 
-#: Request kinds that advance a worker's chaos position — the stream
-#: itself, never control traffic (so supervisor probes cannot shift a
-#: plan's firing points).
-_STREAM_KINDS = frozenset({"chunk", "batch", "batch_shm"})
+#: Stream-carrying request kinds. They advance a worker's chaos
+#: position (control traffic never does, so supervisor probes cannot
+#: shift a plan's firing points) and fill the supervisor's replay log.
+_STREAM_KINDS = frozenset({"batch", "batch_shm"})
 
 
 def _execute_chaos(worker: ShardWorker, event, outbox) -> bool:

@@ -27,8 +27,8 @@ engines: planes stored as little-endian ``uint64`` word arrays of width
 ``⌈K/64⌉`` (`plane_words`), so whole ``(C, Q)`` blocks of signatures OR,
 popcount and Lemma-2-prune as bulk bitwise numpy operations. Word ``w``,
 bit ``b`` of a packed plane is bit ``64w + b`` of the equivalent Python
-int, making the two representations freely convertible
-(`planes_from_signature` / `signature_from_planes`).
+int, so plane rows convert losslessly back to a scalar signature
+(`signature_from_planes`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "encode_planes_many",
     "pack_bool_planes",
     "plane_words",
-    "planes_from_signature",
     "popcount_planes",
     "signature_from_planes",
 ]
@@ -123,14 +122,6 @@ def encode_planes_many(
     """
     ge = pack_bool_planes(window_matrix[:, np.newaxis, :] <= query_matrix)
     lt = pack_bool_planes(window_matrix[:, np.newaxis, :] < query_matrix)
-    return ge, lt
-
-
-def planes_from_signature(signature: "BitSignature") -> tuple:
-    """One signature's ``(ge, lt)`` planes as ``(W,)`` uint64 arrays."""
-    width = plane_words(signature.num_hashes) * 8
-    ge = np.frombuffer(signature.ge.to_bytes(width, "little"), dtype="<u8")
-    lt = np.frombuffer(signature.lt.to_bytes(width, "little"), dtype="<u8")
     return ge, lt
 
 

@@ -498,3 +498,51 @@ def test_quarantined_shard_degrades_queries_not_the_stream():
     finally:
         handle.stop(drain=False, flush=False)
         service.close()
+
+
+def test_default_extractor_decodes_encoded_chunks():
+    """A gateway built without ``extractor=`` decodes encoded chunks
+    server-side: pushing them reports exactly the matches the same
+    chunks give when pushed as cell ids."""
+    from repro.features.pipeline import FingerprintExtractor
+    from repro.ingest import SyntheticSource
+
+    source = SyntheticSource(0, seed=11, num_chunks=6, chunk_seconds=4.0)
+    encoded = [source.encode_chunk(i) for i in range(source.num_chunks)]
+    extractor = FingerprintExtractor()
+    cells = [extractor.cell_ids_from_encoded(video) for video in encoded]
+    # Each query copies a stretch of the stream, so both must match.
+    copies = {0: cells[1], 1: np.concatenate(cells[3:5])}
+    family = MinHashFamily(num_hashes=NUM_HASHES, seed=5)
+    queries = QuerySet.from_cell_ids(
+        copies, {qid: len(ids) for qid, ids in copies.items()}, family
+    )
+
+    def watched(push):
+        service = DetectionService(
+            _config(), queries, source.keyframes_per_second,
+            num_workers=2, backend="thread",
+        )
+        server = GatewayServer(service, credits=4)
+        handle = server.run_in_thread()
+        try:
+            watcher = WatchClient("127.0.0.1", handle.port, credits=1 << 16)
+            client = IngestClient("127.0.0.1", handle.port)
+            for seq in range(len(encoded)):
+                push(client, seq)
+            total = client.end()
+            client.close()
+            matches = [_match_tuple(event) for event in watcher.matches()]
+            watcher.close()
+            assert total == len(matches)
+            return matches
+        finally:
+            handle.stop(drain=False, flush=False)
+            service.close()
+
+    from_cells = watched(lambda client, seq: client.push(seq, cells[seq]))
+    assert {match[0] for match in from_cells} == {0, 1}
+    from_encoded = watched(
+        lambda client, seq: client.push_encoded(seq, encoded[seq])
+    )
+    assert from_encoded == from_cells

@@ -8,16 +8,14 @@ Regression anchors for the online-maintenance bug sweep:
   and restore refused it;
 * an unsubscribed qid must leave no trace in worker-state snapshots,
   and re-subscribing the same qid must start from zeroed state;
-* lifecycle epochs must survive the checkpoint round-trip (format
-  ``repro.ckpt/2``) while ``repro.ckpt/1`` archives stay loadable;
+* lifecycle epochs must survive the checkpoint round-trip, and an
+  archive in any format but the current one is refused;
 * the ingest scheduler must forward lifecycle ops to every session at
   chunk boundaries, and the ``repro serve`` churn flags must replay a
   scripted schedule exactly across a kill/resume.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from repro.core.query import Query, QuerySet
 from repro.errors import ServeError
 from repro.ingest import CellIdSource, StreamScheduler, StreamSession
 from repro.minhash.family import MinHashFamily
-from repro.persistence import save_query_set
+from repro.persistence import PersistenceError, save_query_set
 from repro.serve import (
     CHECKPOINT_FORMAT,
     CheckpointManager,
@@ -149,7 +147,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
     monitor = LiveMonitor(detector)
     monitor.push_cell_ids(rng.integers(0, CELL_SPACE, size=20))
     detector.subscribe(_query(family, 42, cells[0] + 1, 18))
-    state = worker_state(detector, monitor)
+    state = worker_state(detector)
     if "eng_qids" in state:  # columnar engines record the column layout
         assert 42 in state["eng_qids"].tolist()
 
@@ -164,7 +162,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
     )
     from repro.serve import restore_worker_state
 
-    restore_worker_state(fresh, LiveMonitor(fresh), state)  # must not raise
+    restore_worker_state(fresh, state)  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +171,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
 
 
 @pytest.mark.parametrize("order,representation", ENGINE_MODES)
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["columnar", "scalar"])
+@pytest.mark.parametrize("vectorized", [True], ids=["columnar"])
 def test_unsubscribe_leaves_no_trace_in_snapshots(
     order, representation, vectorized
 ):
@@ -191,7 +188,7 @@ def test_unsubscribe_leaves_no_trace_in_snapshots(
     chunk[2:27] = cells[1]  # plant a copy so qid 1 accrues state
     monitor.push_cell_ids(chunk)
     detector.unsubscribe(1)
-    state = worker_state(detector, monitor)
+    state = worker_state(detector)
     for key in ("eng_qids", "eng_sig_qid", "eng_rel_qid"):
         if key in state:
             assert 1 not in state[key].tolist(), key
@@ -333,7 +330,7 @@ def test_subscribe_rejects_duplicates_and_foreign_family():
 
 
 # ----------------------------------------------------------------------
-# checkpoint format: epochs round-trip, v1 compatibility
+# checkpoint format: epochs round-trip, old formats refused
 # ----------------------------------------------------------------------
 
 
@@ -355,7 +352,7 @@ def test_checkpoint_records_epochs(tmp_path):
     assert checkpoint.epoch == 1
     assert checkpoint.worker_epochs() == [1, 1]
     with np.load(path, allow_pickle=True) as archive:
-        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/4"
+        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/5"
 
     resumed = DetectionService.restore(checkpoint)
     assert resumed.epoch == 1
@@ -366,58 +363,33 @@ def test_checkpoint_records_epochs(tmp_path):
     resumed.close()
 
 
-def test_v1_checkpoint_still_loads(tmp_path):
-    """A pre-churn ``repro.ckpt/1`` archive loads with epoch 0."""
+def test_v4_checkpoint_is_rejected(tmp_path):
+    """Only ``repro.ckpt/5`` loads: a ``/4`` archive is refused with a
+    typed error naming both the found and the expected format."""
     family, cells, frames, rng = _fixture()
     service = DetectionService(
         _config(), QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND, num_workers=2,
     )
-    chunks = [rng.integers(0, CELL_SPACE, size=30) for _ in range(3)]
-    service.run(chunks[:2], flush=False)
+    service.run([rng.integers(0, CELL_SPACE, size=30)], flush=False)
     path = service.checkpoint(tmp_path)
+    service.close()
 
-    # Downgrade the archive to the v1 layout: old format tag, no epoch
-    # fields, no front-end state — a v1 writer kept the undigested
-    # buffer in every worker's monitor, so move it back there.
     with np.load(path, allow_pickle=True) as archive:
         payload = {key: archive[key] for key in archive.files}
     fmt = np.empty(1, dtype=object)
-    fmt[0] = "repro.ckpt/1"
+    fmt[0] = "repro.ckpt/4"
     payload["format"] = fmt
-    del payload["epoch"]
-    for key in [k for k in payload if k.endswith("_epoch")]:
-        del payload[key]
-    buffered = payload.pop("frontend_pending")
-    for key in [k for k in payload if k.startswith("frontend_")]:
-        del payload[key]
-    for key in [
-        k for k in payload if re.fullmatch(r"w\d+_pending", k)
-    ]:
-        payload[key] = buffered
-    v1_path = tmp_path / "ckpt-v1.npz"
-    with open(v1_path, "wb") as handle:
-        # v1 writers passed allow_pickle as a savez kwarg, embedding a
-        # spurious "allow_pickle" member; keep it so the load-side
-        # strip is exercised against a faithful old archive.
-        np.savez_compressed(handle, **payload, allow_pickle=True)
+    v4_path = tmp_path / "ckpt-v4.npz"
+    with open(v4_path, "wb") as handle:
+        np.savez_compressed(handle, **payload)
 
-    checkpoint = CheckpointManager(tmp_path).load(v1_path)
-    assert checkpoint.epoch == 0
-    assert checkpoint.worker_epochs() == [0, 0]
-    resumed = DetectionService.restore(checkpoint)
-    resumed.run(chunks[2:], flush=True)
-    reference = DetectionService(
-        _config(), QuerySet.from_cell_ids(cells, frames, family),
-        KEYFRAMES_PER_SECOND, num_workers=2,
-    )
-    reference.run(chunks)
-    assert list(map(_match_key, resumed.matches)) == list(
-        map(_match_key, reference.matches)
-    )
-    service.close()
-    resumed.close()
-    reference.close()
+    with pytest.raises(
+        PersistenceError, match=r"'repro\.ckpt/4'.*'repro\.ckpt/5'"
+    ):
+        CheckpointManager(tmp_path).load(v4_path)
+    with pytest.raises(PersistenceError, match="repro.ckpt/4"):
+        DetectionService.restore(v4_path)
 
 
 # ----------------------------------------------------------------------

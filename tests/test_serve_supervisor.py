@@ -112,8 +112,7 @@ def _drive(service, chunks):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("vectorized", [False, True],
-                         ids=["scalar", "columnar"])
+@pytest.mark.parametrize("vectorized", [True], ids=["columnar"])
 @settings(max_examples=5, deadline=None)
 @given(workload=crash_workloads())
 def test_crash_anytime_equals_uninterrupted(backend, vectorized, workload):

@@ -415,10 +415,9 @@ class TestCheckpointManager:
             "format", "num_workers", "chunks_ingested", "cap_hint",
             "epoch", "keyframes_per_second", "strategy",
             "frontend_pending", "frontend_flushed", "frontend_windows",
-            "frontend_frames", "archive_next", "archive_ring_indices",
-            "archive_ring_starts", "archive_ring_frames",
-            "archive_ring_sketches", "archive_tap_pending",
-            "archive_tap_flushed", "archive_tap_frames", "backfill_jobs",
+            "frontend_frames", "frontend_skip", "archive_next",
+            "archive_ring_indices", "archive_ring_starts",
+            "archive_ring_frames", "archive_ring_sketches", "backfill_jobs",
         }
         expected |= set(detector_config_payload(checkpoint.config))
         expected |= {
